@@ -366,17 +366,20 @@ type clusterStats struct {
 	sumSeqLen    int
 }
 
-// algo2Arena is one worker's private scratch: a Searcher (whose
-// forest.Scratch also backs the CUT tree queries) and an epoch-stamped
-// BFS scratch for the ball computations. Arenas are created once per
-// run, so the steady state of the cluster phase allocates only results.
+// algo2Arena is one worker's private scratch: a Searcher with its path
+// view, the forest.Scratch behind the CUT tree queries, and an
+// epoch-stamped BFS scratch for the ball computations. Arenas are
+// created once per run, so the steady state of the cluster phase
+// allocates only results, and concurrent workers over vertex-disjoint
+// regions of one State share no query scratch.
 type algo2Arena struct {
 	searcher *Searcher
+	cut      *forest.Scratch
 	bfs      graph.BFSEpochScratch
 }
 
 func newAlgo2Arena(st *forest.State) *algo2Arena {
-	return &algo2Arena{searcher: NewSearcher(st)}
+	return &algo2Arena{searcher: NewSearcher(st), cut: forest.NewScratch(st.Graph().N())}
 }
 
 // allocEpochs reserves count consecutive cluster epochs, clearing the
@@ -449,7 +452,7 @@ func (rn *algo2Run) processCluster(ctx context.Context, job *clusterJob, a *algo
 	var cut []int32
 	switch rn.rule {
 	case CutModDepth:
-		cut = cutModDepth(rn.st, a.searcher.fsc, job.annulus, inInner, rn.r, rn.src.Split(uint64(job.center)+7))
+		cut = cutModDepth(rn.st, a.cut, job.annulus, inInner, rn.r, rn.src.Split(uint64(job.center)+7))
 	case CutSampled:
 		cut = rn.sampler.cut(rn.st, job.annulus, rn.src.Split(uint64(job.center)+7))
 	}
@@ -462,7 +465,10 @@ func (rn *algo2Run) processCluster(ctx context.Context, job *clusterJob, a *algo
 	}
 
 	// Color the uncolored edges incident to the cluster by local
-	// augmentation (lines 6-7 of Algorithm 2).
+	// augmentation (lines 6-7 of Algorithm 2). The searches' paths stay
+	// inside the outer ball, so their view is scoped to it, built after
+	// CUT has shaped the annulus.
+	a.searcher.ScopeView(job.ball)
 	for _, v := range job.members {
 		for _, adj := range rn.g.Adj(v) {
 			id := adj.Edge
@@ -483,7 +489,7 @@ func (rn *algo2Run) processCluster(ctx context.Context, job *clusterJob, a *algo
 				job.stats.augmentFail++
 				continue
 			}
-			Apply(rn.st, seq)
+			a.searcher.Apply(seq)
 			job.stats.augmented++
 			job.stats.sumSeqLen += stats.Length
 			if stats.Length > job.stats.maxSeqLen {

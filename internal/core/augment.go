@@ -52,14 +52,27 @@ type searchNode struct {
 // per-edge and per-vertex scratch across calls. One decomposition issues
 // a search per uncolored edge, so hoisting the visit maps out of the
 // call is most of the end-to-end allocation profile.
+//
+// Path queries go to a forest.View, which answers C(e, c) in time
+// proportional to the path. The view is built on a search's first query
+// and kept in step by Searcher.Apply, so a Searcher's State must change
+// only through its Apply while the Searcher is in use; a Searcher made
+// after any other change sees it. By default the view covers every
+// vertex; ScopeView narrows it to the region bounding a run of searches.
 type Searcher struct {
 	st *forest.State
 	g  *graph.Graph
 
-	// fsc backs this Searcher's path queries against st, so concurrent
-	// Searchers over vertex-disjoint regions of one State do not share
-	// query scratch (the parallel-core contract; see forest.Scratch).
-	fsc *forest.Scratch
+	// view answers the path queries. viewRegion is the region set by
+	// ScopeView, nil for a view over every vertex; viewBuilt says the
+	// view reflects st over that region.
+	view       *forest.View
+	viewRegion []int32
+	viewBuilt  bool
+	// path is the reused buffer the view's paths are written into;
+	// onPath[id] == epoch marks the edges of shortCircuit's current path.
+	path   []int32
+	onPath []uint32
 
 	// Per-edge search state, epoch-stamped: edge y is in the current
 	// search iff viaEpoch[y] == epoch, and viaNode[y] then records how
@@ -82,8 +95,9 @@ func NewSearcher(st *forest.State) *Searcher {
 	return &Searcher{
 		st:       st,
 		g:        g,
-		fsc:      forest.NewScratch(g.N()),
+		view:     forest.NewView(st),
 		viaEpoch: make([]uint32, g.M()),
+		onPath:   make([]uint32, g.M()),
 		viaNode:  make([]searchNode, g.M()),
 		seen:     make([]uint32, g.N()),
 		needed:   make([]uint32, g.N()),
@@ -95,11 +109,41 @@ func (s *Searcher) nextEpoch() uint32 {
 	s.epoch++
 	if s.epoch == 0 { // wrapped: restamp so stale marks cannot collide
 		clear(s.viaEpoch)
+		clear(s.onPath)
 		clear(s.seen)
 		clear(s.needed)
 		s.epoch = 1
 	}
 	return s.epoch
+}
+
+// ScopeView bounds the path view to region: the following searches
+// must pass a withinPath that holds exactly on region, and st may change
+// only through s.Apply until the next ScopeView. The view is built on
+// the first query, so a region whose searches never run costs nothing.
+// A nil region returns to a view over every vertex. Algorithm 2 scopes
+// each cluster's searches to its (R+R') ball, which keeps every view
+// read and write inside the cluster's footprint.
+func (s *Searcher) ScopeView(region []int32) {
+	s.viewRegion, s.viewBuilt = region, false
+}
+
+// pathView returns the view for a search bounded by within, and the
+// bound left for the view to check: none when the view is scoped, as
+// its region is the bound. An unbounded search leaves any scope for a
+// view over every vertex.
+func (s *Searcher) pathView(within func(int32) bool) (*forest.View, func(int32) bool) {
+	if within == nil && s.viewRegion != nil {
+		s.viewRegion, s.viewBuilt = nil, false
+	}
+	if !s.viewBuilt {
+		s.view.Build(s.viewRegion)
+		s.viewBuilt = true
+	}
+	if s.viewRegion != nil {
+		return s.view, nil
+	}
+	return s.view, within
 }
 
 // FindAugmenting runs Algorithm 1 from the uncolored edge start: a BFS
@@ -125,6 +169,7 @@ func (s *Searcher) FindAugmenting(palettes [][]int32, start int32,
 		panic(fmt.Sprintf("core: FindAugmenting from colored edge %d", start))
 	}
 	g := s.g
+	view, pathWithin := s.pathView(withinPath)
 	ep := s.nextEpoch()
 	s.viaEpoch[start] = ep
 	s.viaNode[start] = searchNode{parentEdge: -1, color: -1}
@@ -144,11 +189,12 @@ func (s *Searcher) FindAugmenting(palettes [][]int32, start int32,
 			if c == cur {
 				continue
 			}
-			path := st.PathInColorWith(s.fsc, c, e.U, e.V, withinPath)
-			if path == nil {
+			path, ok := view.AppendPath(s.path[:0], c, e.U, e.V, pathWithin)
+			s.path = path
+			if !ok {
 				// Almost augmenting sequence found; backtrack the chain.
 				seq := s.backtrack(x, c)
-				seq = shortCircuit(st, s.fsc, seq, withinPath)
+				seq = s.shortCircuit(seq, pathWithin)
 				stats.Visited = visited
 				stats.Length = len(seq)
 				stats.Radius = s.seqRadius(seq)
@@ -205,23 +251,22 @@ func (s *Searcher) backtrack(last, c int32) Sequence {
 }
 
 // shortCircuit enforces condition (A3): while some e_i lies on C(e_j, c_j)
-// with j < i-1, splice out the intermediate steps (Proposition 3.4).
-func shortCircuit(st *forest.State, sc *forest.Scratch, seq Sequence, withinPath func(int32) bool) Sequence {
-	g := st.Graph()
+// with j < i-1, splice out the intermediate steps (Proposition 3.4). It
+// splices seq in place.
+func (s *Searcher) shortCircuit(seq Sequence, pathWithin func(int32) bool) Sequence {
 	for changed := true; changed; {
 		changed = false
 	scan:
 		for j := 0; j+2 < len(seq); j++ {
-			e := g.Edge(seq[j].Edge)
-			path := st.PathInColorWith(sc, seq[j].Color, e.U, e.V, withinPath)
-			onPath := make(map[int32]struct{}, len(path))
-			for _, id := range path {
-				onPath[id] = struct{}{}
+			e := s.g.Edge(seq[j].Edge)
+			s.path, _ = s.view.AppendPath(s.path[:0], seq[j].Color, e.U, e.V, pathWithin)
+			ep := s.nextEpoch()
+			for _, id := range s.path {
+				s.onPath[id] = ep
 			}
 			for i := len(seq) - 1; i > j+1; i-- {
-				if _, hit := onPath[seq[i].Edge]; hit {
-					spliced := append(Sequence{}, seq[:j+1]...)
-					seq = append(spliced, seq[i:]...)
+				if s.onPath[seq[i].Edge] == ep {
+					seq = append(seq[:j+1], seq[i:]...)
 					changed = true
 					break scan
 				}
@@ -287,5 +332,25 @@ func (s *Searcher) seqRadius(seq Sequence) int {
 func Apply(st *forest.State, seq Sequence) {
 	for _, s := range seq {
 		st.SetColor(s.Edge, s.Color)
+	}
+}
+
+// Apply performs the augmentation on the Searcher's State and keeps its
+// path view in step. The view takes the sequence as one batch, every
+// cut before any link: in sequence order e_1 takes c_1 while e_2 still
+// holds c_1, a transient cycle that only the whole batch resolves. The
+// State itself is updated in sequence order, exactly as Apply does, so
+// its incidence lists (whose order CUT reads) are unchanged.
+func (s *Searcher) Apply(seq Sequence) {
+	if s.viewBuilt {
+		for _, x := range seq {
+			s.view.Cut(x.Edge, s.st.Color(x.Edge))
+		}
+	}
+	Apply(s.st, seq)
+	if s.viewBuilt {
+		for _, x := range seq {
+			s.view.Link(x.Edge, x.Color)
+		}
 	}
 }

@@ -162,3 +162,47 @@ func TestA2PoolZeroAllocSteadyState(t *testing.T) {
 	}
 	_ = sink
 }
+
+// TestParallelCutSampledViewFootprint runs the parallel schedule with
+// CutSampled on a doubled road network. Later classes' annuli hold
+// colored edges, so CUT trims them; those classes also hold several
+// clean clusters, which the workers process concurrently; and a 3-color
+// palette makes the augmenting sequences non-trivial. Each worker's
+// path view is built over its cluster's ball after CUT, so its reads
+// and writes stay inside the footprint the schedule claimed. Under
+// -race this checks that on every input, not only when CUT happened to
+// confine each tree: a view built over the whole State here reads other
+// workers' incidence lists, which the race detector reports. Every
+// worker count must reproduce the Workers: 1 result.
+func TestParallelCutSampledViewFootprint(t *testing.T) {
+	g := gen.MultiplyEdges(gen.RoadNetwork(128, 128, 3), 2)
+	run := func(workers int) *Algo2Result {
+		res, err := RunAlgorithm2(context.Background(), g, Algo2Options{
+			Palettes: fullPalette(g.M(), 3),
+			Alpha:    2,
+			Eps:      0.5,
+			Rule:     CutSampled,
+			Seed:     1,
+			RPrime:   1,
+			R:        2,
+			// Failed searches would otherwise explore 4m edges each.
+			MaxVisited: 256,
+			Workers:    workers,
+		}, nil)
+		if err != nil {
+			t.Fatalf("RunAlgorithm2(workers=%d): %v", workers, err)
+		}
+		return res
+	}
+	want := run(1)
+	if s := want.Stats; s.RemovedByCut == 0 || s.Clusters < 2 || s.MaxSeqLen < 2 {
+		t.Fatalf("stats %+v: the test needs CUT removals, several clusters and sequences longer than one step", s)
+	}
+	for workers := 2; workers <= 4; workers++ {
+		got := run(workers)
+		if !reflect.DeepEqual(got.State.Colors(), want.State.Colors()) ||
+			!reflect.DeepEqual(got.Leftover, want.Leftover) || got.Stats != want.Stats {
+			t.Fatalf("workers=%d: result diverged from Workers: 1", workers)
+		}
+	}
+}

@@ -108,7 +108,7 @@ func Figure1(cfg Config) (*Table, error) {
 			if seq == nil {
 				return nil, fmt.Errorf("fig1: no augmenting sequence for edge %d", id)
 			}
-			core.Apply(st, seq)
+			searcher.Apply(seq)
 			sumLen += stats.Length
 			if stats.Length > maxLen {
 				maxLen = stats.Length
@@ -157,7 +157,7 @@ func Figure2(cfg Config) (*Table, error) {
 		if seq == nil {
 			return nil, fmt.Errorf("fig2: no augmenting sequence for edge %d", id)
 		}
-		core.Apply(st, seq)
+		searcher.Apply(seq)
 		if len(stats.GrowthSizes) > maxIters {
 			maxIters = len(stats.GrowthSizes)
 			if len(stats.GrowthSizes) > 0 {
@@ -202,7 +202,7 @@ func Figure3(cfg Config) (*Table, error) {
 			if seq == nil {
 				return nil, fmt.Errorf("fig3: saturation failed")
 			}
-			core.Apply(st, seq)
+			searcher.Apply(seq)
 		}
 		// Annulus around vertex 0: inner ball radius 3, outer radius 3+R.
 		r := 10

@@ -2,6 +2,11 @@
 // an edge coloring together with per-vertex, per-color incidence indexes
 // supporting the path queries C(e, c) that drive the paper's augmenting
 // sequences (Section 3) and the CUT procedures (Section 4).
+//
+// State answers path queries by BFS over the monochromatic tree; it is
+// the reference. View answers the same queries from rooted per-color
+// parent forests over a vertex region, at a cost proportional to the
+// path, and is what the augmenting search uses.
 package forest
 
 import (
@@ -307,15 +312,23 @@ func (s *State) DegreeInColor(v, c int32) int { return len(s.incident(v, c)) }
 
 // ColorsAt returns the set of colors present at v, in unspecified order.
 func (s *State) ColorsAt(v int32) []int32 {
+	var n int
 	if s.adjC != nil {
-		slots := s.adjC[v]
-		out := make([]int32, 0, len(slots))
-		for i := range slots {
-			out = append(out, slots[i].c)
+		n = len(s.adjC[v])
+	} else {
+		n = len(s.adjMap[v])
+	}
+	return s.appendColorsAt(v, make([]int32, 0, n))
+}
+
+// appendColorsAt appends the colors present at v to out.
+func (s *State) appendColorsAt(v int32, out []int32) []int32 {
+	if s.adjC != nil {
+		for i := range s.adjC[v] {
+			out = append(out, s.adjC[v][i].c)
 		}
 		return out
 	}
-	out := make([]int32, 0, len(s.adjMap[v]))
 	for c := range s.adjMap[v] {
 		out = append(out, c)
 	}

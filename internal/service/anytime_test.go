@@ -63,7 +63,9 @@ func TestAnytimeCacheKeyContract(t *testing.T) {
 // anytime request is served straight from the cache.
 func TestAnytimeHTTPEndToEnd(t *testing.T) {
 	svc, ts := testServer(t, Config{Workers: 2})
-	g := gen.ForestUnion(2000, 3, 42)
+	// Large enough that a cold run takes well over four times the 10ms
+	// deadline floor below, so the deadline still lands mid-run.
+	g := gen.ForestUnion(16000, 3, 42)
 
 	var upload bytes.Buffer
 	if err := graph.Encode(&upload, g); err != nil {

@@ -285,7 +285,11 @@ func (j *Job) cancelIfQueued(now time.Time, errMsg string) bool {
 // JobCanceled (a running computation is abandoned; its eventual result
 // is discarded and not cached). Canceling a terminal job is a no-op.
 // It reports whether this call performed the cancellation.
+//
+// The terminal transition happens before the context is canceled
+// (finishLocked cancels it under j.mu): canceling first would wake the
+// deadline watcher or the worker's select, which could then finish the
+// job with their own reason and make this call report failure.
 func (j *Job) Cancel(reason string) bool {
-	j.cancel()
 	return j.finish(time.Now(), JobCanceled, nil, reason, false)
 }

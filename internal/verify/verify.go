@@ -116,9 +116,13 @@ func MaxForestDiameter(g *graph.Graph, colors []int32) int {
 }
 
 // forestDiameter returns the maximum diameter of any component of the
-// given forest using the classic double-sweep (exact on trees).
+// given forest using the classic double-sweep (exact on trees). Every
+// sweep shares one epoch-stamped scratch, so the total cost is linear
+// in the forest rather than O(components x n).
 func forestDiameter(f *graph.Graph) int {
 	visited := make([]bool, f.N())
+	var sc graph.BFSEpochScratch
+	src := make([]int32, 1)
 	maxDiam := 0
 	for v := int32(0); int(v) < f.N(); v++ {
 		if visited[v] || f.Degree(v) == 0 {
@@ -127,7 +131,8 @@ func forestDiameter(f *graph.Graph) int {
 		// First sweep: find the farthest vertex from v in its component.
 		far := v
 		farD := 0
-		f.BFS([]int32{v}, -1, func(w int32, d int) {
+		src[0] = v
+		f.BFSEpochWith(&sc, src, -1, func(w int32, d int) {
 			visited[w] = true
 			if d > farD {
 				far, farD = w, d
@@ -135,7 +140,8 @@ func forestDiameter(f *graph.Graph) int {
 		})
 		// Second sweep from the eccentric vertex gives the diameter.
 		diam := 0
-		f.BFS([]int32{far}, -1, func(_ int32, d int) {
+		src[0] = far
+		f.BFSEpochWith(&sc, src, -1, func(_ int32, d int) {
 			if d > diam {
 				diam = d
 			}

@@ -1,6 +1,7 @@
 package verify
 
 import (
+	"math/rand"
 	"testing"
 
 	"nwforest/internal/graph"
@@ -82,6 +83,56 @@ func TestMaxForestDiameterTwoComponents(t *testing.T) {
 	// Color 0: path 0-1-2 (diam 2) and path 3-4-5-6 (diam 3).
 	if d := MaxForestDiameter(g, []int32{0, 0, 0, 0, 0}); d != 3 {
 		t.Fatalf("diameter = %d, want 3", d)
+	}
+}
+
+// forestDiameterReference is the double sweep with a fresh allocating
+// BFS per sweep: the straightforward form forestDiameter must agree with.
+func forestDiameterReference(f *graph.Graph) int {
+	visited := make([]bool, f.N())
+	maxDiam := 0
+	for v := int32(0); int(v) < f.N(); v++ {
+		if visited[v] || f.Degree(v) == 0 {
+			continue
+		}
+		far, farD := v, 0
+		f.BFS([]int32{v}, -1, func(w int32, d int) {
+			visited[w] = true
+			if d > farD {
+				far, farD = w, d
+			}
+		})
+		diam := 0
+		f.BFS([]int32{far}, -1, func(_ int32, d int) { diam = max(diam, d) })
+		maxDiam = max(maxDiam, diam)
+	}
+	return maxDiam
+}
+
+// TestForestDiameterMatchesReference compares forestDiameter with the
+// reference on random forests: many small trees, a few long paths,
+// isolated vertices and shuffled labels.
+func TestForestDiameterMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 300; trial++ {
+		n := 1 + r.Intn(200)
+		perm := r.Perm(n)
+		var edges []graph.Edge
+		for i := 1; i < n; i++ {
+			if r.Intn(4) == 0 {
+				continue // start a new tree (or leave i isolated)
+			}
+			lo := 0
+			if r.Intn(2) == 0 {
+				lo = max(0, i-3) // bias toward long paths
+			}
+			p := lo + r.Intn(i-lo)
+			edges = append(edges, graph.E(int32(perm[p]), int32(perm[i])))
+		}
+		f := graph.MustNew(n, edges)
+		if got, want := forestDiameter(f), forestDiameterReference(f); got != want {
+			t.Fatalf("trial %d (n=%d, m=%d): diameter %d, reference %d", trial, n, len(edges), got, want)
+		}
 	}
 }
 
